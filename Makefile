@@ -8,7 +8,7 @@ BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpaw
 BENCH_TIME ?= 300ms
 BENCH_OUT  ?= BENCH_pr8.json
 
-.PHONY: all build vet fmt-check test race bench-smoke bench-json quickcheck soak soak-ci docs ci
+.PHONY: all build vet fmt-check test race bench-smoke bench-json quickcheck soak soak-ci docs smoke ci
 
 # soak knobs: steps per policy, base seed, and the config preset
 # (internal/soak: ci / default / heavy). The nightly workflow raises
@@ -109,4 +109,13 @@ soak-ci:
 docs:
 	$(GO) test -run Example -v ./swan
 
-ci: build vet fmt-check test race bench-smoke quickcheck soak-ci docs
+# Run the one command-line door per paper workload on a small input.
+# Each run fails unless its output checks out: filededup's round trip,
+# imagesearch's comparison with the serial elision, and paperbench's
+# serial check of every bzip2 model.
+smoke:
+	$(GO) run ./examples/filededup -size 2097152
+	$(GO) run ./examples/imagesearch -images 32
+	$(GO) run ./cmd/paperbench -exp bzip2 -reps 1 -cores 2
+
+ci: build vet fmt-check test race bench-smoke quickcheck soak-ci docs smoke

@@ -522,56 +522,45 @@ func BenchmarkQueueChurn(b *testing.B) {
 	})
 }
 
-// --- Ablation: sharded queue locks vs legacy single mutex ----------------
+// --- Queue lock contention ----------------------------------------------
 
 // BenchmarkPrepareCompleteContention measures the structural hot path the
-// lock split targets: a stream of short-lived sibling producer tasks
-// (Prepare/Complete churn on the registry lock) feeding a concurrently
-// popping consumer (wake-ups on every push). "sharded" is the production
-// queue — push wake-ups are an atomic load, Prepare/Complete take only
-// the registry lock; "legacy" routes everything through one mutex, the
-// way the queue was locked before this split.
+// queue's lock split targets: a stream of short-lived sibling producer
+// tasks (Prepare/Complete churn on the registry lock) feeding a
+// concurrently popping consumer (wake-ups on every push). Push wake-ups
+// are an atomic load; Prepare/Complete take only the registry lock.
 func BenchmarkPrepareCompleteContention(b *testing.B) {
 	workers := runtime.NumCPU()
 	if workers < 4 {
 		workers = 4
 	}
 	const perTask = 16
-	for _, mode := range []string{"sharded", "legacy"} {
-		b.Run("lock="+mode, func(b *testing.B) {
-			rt := sched.New(workers)
-			rt.Run(func(f *sched.Frame) {
-				var q *core.Queue[int]
-				if mode == "legacy" {
-					q = core.NewLegacyLocked[int](f, 64)
-				} else {
-					q = core.NewWithCapacity[int](f, 64)
-				}
-				b.ResetTimer()
-				// The producer side is spawned before the consumer so the
-				// consumer observes it in the serial elision: Empty blocks
-				// (and the push wake-up path fires) until every producer
-				// task ordered before it has retired.
-				f.Spawn(func(spawner *sched.Frame) {
-					tasks := b.N/perTask + 1
-					for i := 0; i < tasks; i++ {
-						spawner.Spawn(func(c *sched.Frame) {
-							for j := 0; j < perTask; j++ {
-								q.Push(c, j)
-							}
-						}, core.Push(q))
+	rt := sched.New(workers)
+	rt.Run(func(f *sched.Frame) {
+		q := core.NewWithCapacity[int](f, 64)
+		b.ResetTimer()
+		// The producer side is spawned before the consumer so the
+		// consumer observes it in the serial elision: Empty blocks
+		// (and the push wake-up path fires) until every producer
+		// task ordered before it has retired.
+		f.Spawn(func(spawner *sched.Frame) {
+			tasks := b.N/perTask + 1
+			for i := 0; i < tasks; i++ {
+				spawner.Spawn(func(c *sched.Frame) {
+					for j := 0; j < perTask; j++ {
+						q.Push(c, j)
 					}
 				}, core.Push(q))
-				f.Spawn(func(c *sched.Frame) {
-					for !q.Empty(c) {
-						q.Pop(c)
-					}
-				}, core.Pop(q))
-				f.Sync()
-				b.StopTimer()
-			})
-		})
-	}
+			}
+		}, core.Push(q))
+		f.Spawn(func(c *sched.Frame) {
+			for !q.Empty(c) {
+				q.Pop(c)
+			}
+		}, core.Pop(q))
+		f.Sync()
+		b.StopTimer()
+	})
 }
 
 // --- Ablation: batched vs one-at-a-time loop-split spawn -----------------

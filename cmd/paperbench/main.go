@@ -10,7 +10,9 @@
 // regime is -scale 4 or higher. -metrics serves a live Prometheus-text
 // endpoint over every runtime the experiments create (curl the printed
 // URL while they run); -stats prints the same counters, including one
-// row per metered queue, after the experiments finish.
+// row per metered queue, after the experiments finish. fig8, fig11 and
+// bzip2 check each model's output against the serial result and exit 1
+// after printing a MISMATCH line for any model that disagrees.
 package main
 
 import (
@@ -46,6 +48,17 @@ func main() {
 	}
 
 	cfg := bench.Config{MaxCores: *cores, Reps: *reps, Scale: *scale}
+	// A MISMATCH fails the run once every requested experiment has
+	// rendered; runs drained early by an interrupt are not compared.
+	var interrupted atomic.Bool
+	mismatched := false
+	speedup := func(t *bench.Table, err error) {
+		fmt.Println(t.Format())
+		if err != nil && !interrupted.Load() {
+			fmt.Fprintln(os.Stderr, err)
+			mismatched = true
+		}
+	}
 	run := func(name string) {
 		switch name {
 		case "table1":
@@ -53,14 +66,11 @@ func main() {
 		case "table2":
 			fmt.Println(bench.Table2(cfg).Format())
 		case "fig8":
-			t, _ := bench.Fig8(cfg)
-			fmt.Println(t.Format())
+			speedup(bench.Fig8(cfg))
 		case "fig11":
-			t, _ := bench.Fig11(cfg)
-			fmt.Println(t.Format())
+			speedup(bench.Fig11(cfg))
 		case "bzip2":
-			t, _ := bench.Bzip2(cfg)
-			fmt.Println(t.Format())
+			speedup(bench.Bzip2(cfg))
 		case "latency":
 			fmt.Println(bench.Latency(cfg).Format())
 		default:
@@ -73,7 +83,6 @@ func main() {
 	// cancel scope: parked tasks unwind, the in-flight experiment drains,
 	// and the stats report still renders before exit.
 	bench.CollectRuntimeStats(true)
-	var interrupted atomic.Bool
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	go func() {
@@ -109,5 +118,8 @@ func main() {
 	}
 	if *showStats {
 		fmt.Println(bench.RuntimeStatsReport())
+	}
+	if mismatched {
+		os.Exit(1)
 	}
 }

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -52,5 +54,14 @@ func main() {
 	lines := strings.SplitN(string(out.Text), "\n", *show+1)
 	for i := 0; i < *show && i < len(lines); i++ {
 		fmt.Println("  ", lines[i])
+	}
+
+	if *model != "serial" {
+		ref := ferret.RunSerial(corpus, p)
+		if ref.Queries != out.Queries || ref.Checksum != out.Checksum || !bytes.Equal(ref.Text, out.Text) {
+			fmt.Fprintln(os.Stderr, "MISMATCH against the serial elision")
+			os.Exit(1)
+		}
+		fmt.Println("verified against the serial elision ✓")
 	}
 }

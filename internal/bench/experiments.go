@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -73,28 +75,54 @@ func Table2(c Config) *Table {
 	)
 }
 
+// sweep times the serial reference and every model at every core count
+// of the config and returns the serial time and the speedup curves. Each
+// model's output from its last rep at each core count is checked against
+// the serial result outside the timed region; every disagreement is
+// reported as a "MISMATCH exp/model/cores" error.
+func sweep[T any](c Config, exp string, serial func() T, models map[string]func(cores int) func() T, order []string, same func(want, got T) bool) (float64, []Series, error) {
+	var want T
+	ref := Measure(c.MaxCores, c.Reps, func() { want = serial() })
+	var series []Series
+	var errs []error
+	for _, name := range order {
+		s := Series{Model: name}
+		for _, cores := range CoreCounts(c.MaxCores) {
+			run := models[name](cores)
+			var got T
+			secs := Measure(cores, c.Reps, func() { got = run() })
+			if !same(want, got) {
+				errs = append(errs, fmt.Errorf("MISMATCH %s/%s/%d", exp, name, cores))
+			}
+			s.Points = append(s.Points, Point{Cores: cores, Seconds: secs, Speedup: ref / secs})
+		}
+		series = append(series, s)
+	}
+	return ref, series, errors.Join(errs...)
+}
+
 // ferretModels are the four lines of Figure 8. Each model maps a core
 // count to a repeatable run closure; the Swan models build their runtime
 // once per core count, so repetitions 2+ reuse its runtime-wide segment
 // pool — the workloads recycle their queues at the end of each run, and
 // a warm pool means the repeated run's queue setup allocates nothing.
-func ferretModels(corpus *ferret.Corpus, p ferret.Params, oversub int) map[string]func(cores int) func() {
-	return map[string]func(cores int) func(){
-		"Pthreads": func(cores int) func() {
+func ferretModels(corpus *ferret.Corpus, p ferret.Params, oversub int) map[string]func(cores int) func() *ferret.Output {
+	return map[string]func(cores int) func() *ferret.Output{
+		"Pthreads": func(cores int) func() *ferret.Output {
 			// PARSEC-style oversubscription: thread count per stage is a
 			// machine constant (28 in the paper), not the core count.
-			return func() { ferret.RunPthreads(corpus, p, oversub, 4*oversub) }
+			return func() *ferret.Output { return ferret.RunPthreads(corpus, p, oversub, 4*oversub) }
 		},
-		"TBB": func(cores int) func() {
-			return func() { ferret.RunTBB(corpus, p, cores, 4*cores) }
+		"TBB": func(cores int) func() *ferret.Output {
+			return func() *ferret.Output { return ferret.RunTBB(corpus, p, cores, 4*cores) }
 		},
-		"Objects": func(cores int) func() {
+		"Objects": func(cores int) func() *ferret.Output {
 			rt := newRuntime(cores)
-			return func() { ferret.RunObjects(rt, corpus, p) }
+			return func() *ferret.Output { return ferret.RunObjects(rt, corpus, p) }
 		},
-		"Hyperqueue": func(cores int) func() {
+		"Hyperqueue": func(cores int) func() *ferret.Output {
 			rt := newRuntime(cores)
-			return func() { ferret.RunHyperqueue(rt, corpus, p, 16) }
+			return func() *ferret.Output { return ferret.RunHyperqueue(rt, corpus, p, 16) }
 		},
 	}
 }
@@ -102,108 +130,94 @@ func ferretModels(corpus *ferret.Corpus, p ferret.Params, oversub int) map[strin
 var ferretModelOrder = []string{"Pthreads", "TBB", "Objects", "Hyperqueue"}
 
 // Fig8 regenerates Figure 8: ferret speedup under the four programming
-// models.
-func Fig8(c Config) (*Table, []Series) {
+// models. Every model must reproduce the serial query results exactly.
+func Fig8(c Config) (*Table, error) {
 	p := c.FerretParams()
 	corpus := ferret.NewCorpus(p)
-	serial := Measure(c.MaxCores, c.Reps, func() { ferret.RunSerial(corpus, p) })
-	models := ferretModels(corpus, p, c.MaxCores+4)
-	var series []Series
-	for _, name := range ferretModelOrder {
-		model := models[name]
-		s := Series{Model: name}
-		for _, cores := range CoreCounts(c.MaxCores) {
-			secs := Measure(cores, c.Reps, model(cores))
-			s.Points = append(s.Points, Point{Cores: cores, Seconds: secs, Speedup: serial / secs})
-		}
-		series = append(series, s)
-	}
+	serial, series, err := sweep(c, "fig8",
+		func() *ferret.Output { return ferret.RunSerial(corpus, p) },
+		ferretModels(corpus, p, c.MaxCores+4), ferretModelOrder,
+		func(want, got *ferret.Output) bool {
+			return got.Queries == want.Queries && got.Checksum == want.Checksum && bytes.Equal(got.Text, want.Text)
+		})
 	t := SpeedupTable(
 		"Figure 8: Ferret speedup by programming model",
 		series,
 		fmt.Sprintf("Speedup relative to the serial implementation (%.3fs). Paper shape: Objects trails (input stage not overlapped); Pthreads, TBB and Hyperqueue track each other.", serial),
 	)
-	return t, series
+	return t, err
 }
 
 // dedupModels are the four lines of Figure 11, shaped like ferretModels.
-func dedupModels(data []byte, o dedup.Options, oversub int) map[string]func(cores int) func() {
-	return map[string]func(cores int) func(){
-		"Pthreads": func(cores int) func() {
-			return func() { dedup.RunPthreads(data, o, oversub, 4*oversub) }
+func dedupModels(data []byte, o dedup.Options, oversub int) map[string]func(cores int) func() dedup.Result {
+	return map[string]func(cores int) func() dedup.Result{
+		"Pthreads": func(cores int) func() dedup.Result {
+			return func() dedup.Result { return dedup.RunPthreads(data, o, oversub, 4*oversub) }
 		},
-		"TBB": func(cores int) func() {
-			return func() { dedup.RunTBB(data, o, cores, 4*cores) }
+		"TBB": func(cores int) func() dedup.Result {
+			return func() dedup.Result { return dedup.RunTBB(data, o, cores, 4*cores) }
 		},
-		"Objects": func(cores int) func() {
+		"Objects": func(cores int) func() dedup.Result {
 			rt := newRuntime(cores)
-			return func() { dedup.RunObjects(rt, data, o) }
+			return func() dedup.Result { return dedup.RunObjects(rt, data, o) }
 		},
-		"Hyperqueue": func(cores int) func() {
+		"Hyperqueue": func(cores int) func() dedup.Result {
 			rt := newRuntime(cores)
-			return func() { dedup.RunHyperqueue(rt, data, o, 64) }
+			return func() dedup.Result { return dedup.RunHyperqueue(rt, data, o, 64) }
 		},
 	}
 }
 
-// Fig11 regenerates Figure 11: dedup speedup under the four models.
-func Fig11(c Config) (*Table, []Series) {
+// Fig11 regenerates Figure 11: dedup speedup under the four models. The
+// baselines' unique/duplicate split depends on arrival order (as in
+// PARSEC), so a model's stream is checked by reassembling to the same
+// bytes as the serial stream.
+func Fig11(c Config) (*Table, error) {
 	data := c.DedupInput()
 	o := dedup.DefaultOptions()
-	serial := Measure(c.MaxCores, c.Reps, func() { dedup.RunSerial(data, o) })
-	models := dedupModels(data, o, c.MaxCores+4)
-	var series []Series
-	for _, name := range ferretModelOrder {
-		model := models[name]
-		s := Series{Model: name}
-		for _, cores := range CoreCounts(c.MaxCores) {
-			secs := Measure(cores, c.Reps, model(cores))
-			s.Points = append(s.Points, Point{Cores: cores, Seconds: secs, Speedup: serial / secs})
-		}
-		series = append(series, s)
-	}
+	serial, series, err := sweep(c, "fig11",
+		func() dedup.Result { return dedup.RunSerial(data, o) },
+		dedupModels(data, o, c.MaxCores+4), ferretModelOrder,
+		func(want, got dedup.Result) bool {
+			w, werr := dedup.Reassemble(want.Stream)
+			g, gerr := dedup.Reassemble(got.Stream)
+			return werr == nil && gerr == nil && bytes.Equal(g, w)
+		})
 	t := SpeedupTable(
 		"Figure 11: Dedup speedup by programming model",
 		series,
 		fmt.Sprintf("Speedup relative to the serial implementation (%.3fs). Paper shape: Hyperqueue leads Pthreads by 12-30%% in the 6-8 core region; TBB trails Pthreads; speedups plateau (serial Output stage).", serial),
 	)
-	return t, series
+	return t, err
 }
 
 // Bzip2 regenerates the §6.3 comparison: task dataflow (objects) vs
-// hyperqueue vs hyperqueue with the §5.4 loop split.
-func Bzip2(c Config) (*Table, []Series) {
+// hyperqueue vs hyperqueue with the §5.4 loop split. Every model must
+// emit the serial compressed stream byte for byte.
+func Bzip2(c Config) (*Table, error) {
 	data := c.Bzip2Input()
 	const blockSize = 64 * 1024
-	serial := Measure(c.MaxCores, c.Reps, func() { bzip2.RunSerial(data, blockSize) })
-	models := map[string]func(cores int) func(){
-		"Objects": func(cores int) func() {
+	models := map[string]func(cores int) func() []byte{
+		"Objects": func(cores int) func() []byte {
 			rt := newRuntime(cores)
-			return func() { bzip2.RunObjects(rt, data, blockSize) }
+			return func() []byte { return bzip2.RunObjects(rt, data, blockSize) }
 		},
-		"Hyperqueue": func(cores int) func() {
+		"Hyperqueue": func(cores int) func() []byte {
 			rt := newRuntime(cores)
-			return func() { bzip2.RunHyperqueue(rt, data, blockSize, 8) }
+			return func() []byte { return bzip2.RunHyperqueue(rt, data, blockSize, 8) }
 		},
-		"Hyperqueue+LoopSplit": func(cores int) func() {
+		"Hyperqueue+LoopSplit": func(cores int) func() []byte {
 			rt := newRuntime(cores)
-			return func() { bzip2.RunHyperqueueLoopSplit(rt, data, blockSize, 8, 8) }
+			return func() []byte { return bzip2.RunHyperqueueLoopSplit(rt, data, blockSize, 8, 8) }
 		},
 	}
-	var series []Series
-	for _, name := range []string{"Objects", "Hyperqueue", "Hyperqueue+LoopSplit"} {
-		model := models[name]
-		s := Series{Model: name}
-		for _, cores := range CoreCounts(c.MaxCores) {
-			secs := Measure(cores, c.Reps, model(cores))
-			s.Points = append(s.Points, Point{Cores: cores, Seconds: secs, Speedup: serial / secs})
-		}
-		series = append(series, s)
-	}
+	serial, series, err := sweep(c, "bzip2",
+		func() []byte { return bzip2.RunSerial(data, blockSize) },
+		models, []string{"Objects", "Hyperqueue", "Hyperqueue+LoopSplit"}, bytes.Equal)
 	t := SpeedupTable(
 		"Section 6.3: bzip2 speedup, task dataflow vs hyperqueue",
 		series,
 		fmt.Sprintf("Speedup relative to the serial implementation (%.3fs). Paper: hyperqueue matches the task-dataflow baseline; the loop-split variant fixes serial-execution memory locality at equal performance.", serial),
 	)
-	return t, series
+	return t, err
 }

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workloads/bzip2"
 )
 
 func TestTableFormat(t *testing.T) {
@@ -71,6 +74,46 @@ func TestMeasureBestOf(t *testing.T) {
 	}
 	if d >= 0.02 {
 		t.Fatalf("best-of did not filter the slow run: %v", d)
+	}
+}
+
+// TestSweepReportsMismatch runs the speedup sweep with a model that
+// corrupts one byte of the real bzip2 stream: every core count of the
+// tampered model must be reported, and the honest model must not be.
+func TestSweepReportsMismatch(t *testing.T) {
+	data := bzip2.GenerateInput(7, 256*1024)
+	const blockSize = 64 * 1024
+	models := map[string]func(cores int) func() []byte{
+		"Hyperqueue": func(cores int) func() []byte {
+			rt := newRuntime(cores)
+			return func() []byte { return bzip2.RunHyperqueue(rt, data, blockSize, 8) }
+		},
+		"Tampered": func(cores int) func() []byte {
+			rt := newRuntime(cores)
+			return func() []byte {
+				out := bzip2.RunHyperqueue(rt, data, blockSize, 8)
+				out[len(out)/2] ^= 1
+				return out
+			}
+		},
+	}
+	_, series, err := sweep(Config{MaxCores: 2, Reps: 2, Scale: 1}, "bzip2",
+		func() []byte { return bzip2.RunSerial(data, blockSize) },
+		models, []string{"Hyperqueue", "Tampered"}, bytes.Equal)
+	if len(series) != 2 || len(series[1].Points) != 2 {
+		t.Fatalf("series = %+v", series)
+	}
+	if err == nil {
+		t.Fatal("tampered model not reported")
+	}
+	msg := err.Error()
+	for _, want := range []string{"MISMATCH bzip2/Tampered/1", "MISMATCH bzip2/Tampered/2"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("report missing %q:\n%s", want, msg)
+		}
+	}
+	if strings.Contains(msg, "Hyperqueue") {
+		t.Fatalf("honest model reported:\n%s", msg)
 	}
 }
 

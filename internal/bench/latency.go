@@ -67,23 +67,25 @@ func MeasureLatency(cfg LatencyConfig) LatencyReport {
 	// arrive sleeps until element i's intended arrival and returns that
 	// intended time as the stamp — not time.Now() — so queueing delay
 	// under overload is charged to the element (open-loop discipline).
-	// The sleep is coarse on purpose: OS timers cannot pace per-element
-	// gaps of a few microseconds, so the generator only sleeps when it
-	// is more than pacingSlack ahead and otherwise releases a small
-	// burst — the intended-time stamps keep the accounting exact. The
-	// sleep itself runs inside a Block region so pacing never holds a
-	// worker slot; the no-sleep fast path is a plain clock read.
-	const pacingSlack = time.Millisecond
+	// It never releases an element before it is due: OS timers overshoot
+	// per-element gaps of a few microseconds, so one sleep usually covers
+	// several due elements, which then go out as a small late burst whose
+	// intended-time stamps keep the accounting exact. The sleep runs
+	// inside a Block region so pacing never holds a worker slot; an
+	// element already due costs one clock read.
 	arrive := func(c *swan.Frame, i int) int64 {
 		offered++
 		if cfg.Rate <= 0 {
 			return time.Since(start).Nanoseconds()
 		}
 		target := int64(float64(i) / cfg.Rate * 1e9)
-		if d := time.Duration(target) - time.Since(start); d > pacingSlack {
+		for {
+			d := time.Duration(target) - time.Since(start)
+			if d <= 0 {
+				return target
+			}
 			c.Block(func() { time.Sleep(d) })
 		}
-		return target
 	}
 	complete := func(stamp int64) {
 		now := time.Since(start).Nanoseconds()

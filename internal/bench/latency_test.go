@@ -42,3 +42,18 @@ func TestLatencyTableRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureLatencyNeverEarly pins the open-loop generator's pacing: an
+// element is never released before its intended arrival, so every
+// completion latency is positive. A generator that releases elements
+// ahead of time stamps them in the future, and at a rate the single
+// shard keeps up with the median latency collapses to zero.
+func TestMeasureLatencyNeverEarly(t *testing.T) {
+	r := MeasureLatency(LatencyConfig{Workload: "streamstats", Shards: 1, Workers: 2, Items: 4_000, Rate: 20_000})
+	if r.Completed != r.Offered {
+		t.Fatalf("completed %d of %d offered", r.Completed, r.Offered)
+	}
+	if r.P50 <= 0 {
+		t.Fatalf("p50 = %d ns: elements released before their intended arrival", r.P50)
+	}
+}

@@ -91,10 +91,7 @@
 //     ShareToPredecessor, SyncFold, FoldFrontier) operate under regMu.
 //   - Lock order: consMu before regMu, always. Code holding regMu must
 //     release it before touching consMu (Complete does exactly that);
-//     consumer decision paths nest regMu inside consMu. In the legacy
-//     single-mutex mode (NewLegacyLocked, kept for the lock-sharding
-//     ablation benchmark) both roles collapse onto consMu and the nested
-//     acquisition is a no-op.
+//     consumer decision paths nest regMu inside consMu.
 //   - Single-writer fields need no lock: Queue.headView is written only
 //     by the task currently holding the consumer role (ticket
 //     arbitration makes that exclusive; a Complete-side frontier fold

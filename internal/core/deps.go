@@ -45,7 +45,7 @@ func (d queueDep[T]) Prepare(parent, child *sched.Frame) {
 		pqv.popTickets.Add(1)
 	}
 
-	q.lockReg()
+	q.regMu.Lock()
 	// Link as youngest live sibling of pqv's children on this queue.
 	q.eng.Link(&pqv.vs, &cqv.vs)
 	if d.mode&ModePush != 0 {
@@ -55,7 +55,7 @@ func (d queueDep[T]) Prepare(parent, child *sched.Frame) {
 		// views); the flag stays set until Recycle rearms the queue.
 		q.everProducer.Store(true)
 	}
-	q.unlockReg()
+	q.regMu.Unlock()
 
 	child.SetAttachment(queueKey[T]{q}, cqv)
 	child.AddSyncHook(func() { q.syncHook(cqv) })
@@ -126,7 +126,7 @@ func (d queueDep[T]) Complete(parent, child *sched.Frame) {
 	q := d.q
 	cqv := q.viewsOf(child)
 
-	q.lockReg()
+	q.regMu.Lock()
 	// Deposit the child's views into its nearest live elder sibling or
 	// its parent and unlink it from the live-sibling chain — the
 	// substrate's Retire fold.
@@ -135,7 +135,7 @@ func (d queueDep[T]) Complete(parent, child *sched.Frame) {
 	if d.mode&ModePush != 0 {
 		delete(q.producers, child)
 	}
-	q.unlockReg()
+	q.regMu.Unlock()
 
 	if d.mode&ModePop != 0 {
 		cqv.parentQV.popServed.Add(1)
@@ -146,11 +146,11 @@ func (d queueDep[T]) Complete(parent, child *sched.Frame) {
 	// consumer, link the frontier on its behalf first.
 	q.lockCons()
 	if pc := q.parked; pc != nil {
-		q.lockRegNested()
+		q.regMu.Lock()
 		if !q.visibleProducerLive(pc.vs.Frame) {
 			q.linkFrontier(pc)
 		}
-		q.unlockRegNested()
+		q.regMu.Unlock()
 	}
 	q.wakeLocked()
 	q.consMu.Unlock()

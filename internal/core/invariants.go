@@ -89,8 +89,8 @@ func (v InvariantViolation) String() string {
 func (q *Queue[T]) CheckInvariants(f *sched.Frame) []InvariantViolation {
 	q.lockCons()
 	defer q.consMu.Unlock()
-	q.lockRegNested()
-	defer q.unlockRegNested()
+	q.regMu.Lock()
+	defer q.regMu.Unlock()
 	var out []InvariantViolation
 	report := func(inv int, format string, args ...any) {
 		out = append(out, InvariantViolation{inv, fmt.Sprintf(format, args...)})
@@ -213,9 +213,9 @@ func (q *Queue[T]) DebugChainSegments(f *sched.Frame) uint64 {
 		panic("hyperqueue: only the owning task may count chain segments")
 	}
 	q.lockCons()
-	q.lockRegNested()
+	q.regMu.Lock()
 	defer func() {
-		q.unlockRegNested()
+		q.regMu.Unlock()
 		q.consMu.Unlock()
 	}()
 	if len(q.producers) > 0 || qv.vs.ChildHead != nil ||

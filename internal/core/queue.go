@@ -59,7 +59,6 @@ const DefaultSegmentCapacity = 256
 // consumer-role-owned; waiters is atomic.
 type Queue[T any] struct {
 	segCap int
-	legacy bool // NewLegacyLocked: both roles share consMu (ablation only)
 
 	// Consumer-side state.
 	consMu sync.Mutex
@@ -112,8 +111,7 @@ type Queue[T any] struct {
 	// sync fold, frontier fold, head sharing) on the generic substrate
 	// (internal/core/hyper). The engine is lock-agnostic; every call
 	// that touches shared view-set state runs under regMu (possibly
-	// nested inside consMu), preserving the split-lock discipline and
-	// the legacy single-mutex ablation.
+	// nested inside consMu), preserving the split-lock discipline.
 	eng hyper.Engine[view[T], qviewOps[T]]
 
 	// flow is the bounded-capacity / metering block (flow.go), nil for
@@ -190,19 +188,6 @@ func New[T any](f *sched.Frame, opts ...QueueOption) *Queue[T] {
 // queue of the same element type and segment capacity (PoolProvider), so
 // even a freshly constructed queue starts on recycled segments.
 func NewWithCapacity[T any](f *sched.Frame, segCap int, opts ...QueueOption) *Queue[T] {
-	return newQueue[T](f, segCap, false, opts...)
-}
-
-// NewLegacyLocked creates a hyperqueue that funnels every structural
-// operation — Prepare, Complete, deposits, wake-ups — through the single
-// consumer mutex, the way the queue was locked before the registry lock
-// was split out. It exists only for BenchmarkPrepareCompleteContention,
-// the sharded-vs-single-mutex ablation; programs should use New.
-func NewLegacyLocked[T any](f *sched.Frame, segCap int) *Queue[T] {
-	return newQueue[T](f, segCap, true)
-}
-
-func newQueue[T any](f *sched.Frame, segCap int, legacy bool, opts ...QueueOption) *Queue[T] {
 	if segCap < 1 {
 		segCap = 1
 	}
@@ -210,7 +195,7 @@ func newQueue[T any](f *sched.Frame, segCap int, legacy bool, opts ...QueueOptio
 	for _, opt := range opts {
 		opt(&o)
 	}
-	q := &Queue[T]{segCap: segCap, legacy: legacy, owner: f, producers: make(map[*sched.Frame]struct{})}
+	q := &Queue[T]{segCap: segCap, owner: f, producers: make(map[*sched.Frame]struct{})}
 	q.cond = sync.NewCond(&q.consMu)
 	q.prov = ProviderOf(f.Runtime())
 	if o.bound > 0 || o.name != "" {
@@ -246,40 +231,6 @@ func (q *Queue[T]) lockCons() {
 // assert.
 func (q *Queue[T]) DebugConsLockAcquires() uint64 { return q.consMuAcquires.Load() }
 
-// lockReg acquires the producer-registry lock — consMu itself in legacy
-// single-mutex mode. The caller must not hold consMu (use lockRegNested
-// for that).
-func (q *Queue[T]) lockReg() {
-	if q.legacy {
-		q.lockCons()
-	} else {
-		q.regMu.Lock()
-	}
-}
-
-func (q *Queue[T]) unlockReg() {
-	if q.legacy {
-		q.consMu.Unlock()
-	} else {
-		q.regMu.Unlock()
-	}
-}
-
-// lockRegNested acquires the registry lock while consMu is already held
-// (the consMu-before-regMu order). In legacy mode the two are the same
-// mutex and the nested acquisition is a no-op.
-func (q *Queue[T]) lockRegNested() {
-	if !q.legacy {
-		q.regMu.Lock()
-	}
-}
-
-func (q *Queue[T]) unlockRegNested() {
-	if !q.legacy {
-		q.regMu.Unlock()
-	}
-}
-
 // viewsOf returns the view set frame f holds on q, or nil.
 func (q *Queue[T]) viewsOf(f *sched.Frame) *qviews[T] {
 	v, _ := f.Attachment(queueKey[T]{q}).(*qviews[T])
@@ -301,8 +252,8 @@ func (q *Queue[T]) mustViews(f *sched.Frame, need AccessMode) *qviews[T] {
 // (§4.2, "Sync"): user ← reduce(children, user). The fold itself lives
 // in the substrate (hyper.Engine.SyncFold).
 func (q *Queue[T]) syncHook(qv *qviews[T]) {
-	q.lockReg()
-	defer q.unlockReg()
+	q.regMu.Lock()
+	defer q.regMu.Unlock()
 	q.eng.SyncFold(&qv.vs)
 }
 
@@ -328,34 +279,23 @@ func (q *Queue[T]) Push(f *sched.Frame, v T) {
 // (hyper.Engine.ShareToPredecessor).
 func (q *Queue[T]) attachFreshSegment(qv *qviews[T]) {
 	snew := q.pool.get(q.pool.shard(qv.vs.Frame.WorkerID()))
-	q.lockReg()
-	defer q.unlockReg()
+	q.regMu.Lock()
+	defer q.regMu.Unlock()
 	q.nlctr++
 	tmp, user := split(snew, q.nlctr)
 	qv.vs.User = user
 	q.eng.ShareToPredecessor(&qv.vs, &tmp)
 }
 
-// wakeConsumer wakes a consumer blocked in Empty or Pop, if any. On the
-// sharded-lock path the check is a single atomic load, so a push with no
-// parked consumer — the steady state — touches no lock at all. Lost
+// wakeConsumer wakes a consumer blocked in Empty or Pop, if any. The
+// check is a single atomic load, so a push with no parked consumer —
+// the steady state — touches no lock at all. Lost
 // wakeups are impossible: the consumer increments waiters under consMu
 // before its final reachability re-check, so a producer either observes
 // waiters > 0 (and its broadcast serializes with the consumer's wait
 // through consMu) or stored its value before the consumer's re-check
 // (and the consumer does not wait).
 func (q *Queue[T]) wakeConsumer() {
-	if q.legacy {
-		// Legacy single-mutex behavior: every push takes the queue lock
-		// to test for waiters.
-		q.lockCons()
-		if q.waiters.Load() > 0 {
-			q.meterConsWake()
-			q.wakeLocked()
-		}
-		q.consMu.Unlock()
-		return
-	}
 	if q.waiters.Load() == 0 {
 		return
 	}
@@ -585,17 +525,17 @@ func (q *Queue[T]) emptyWaitStop(f *sched.Frame, qv *qviews[T], deadline time.Ti
 	var empty bool
 	var violation string
 	q.lockCons()
-	q.lockRegNested()
+	q.regMu.Lock()
 	if !q.visibleProducerLive(f) {
 		empty, violation = q.decideEmptyLocked(qv)
-		q.unlockRegNested()
+		q.regMu.Unlock()
 		q.consMu.Unlock()
 		if violation != "" {
 			panic(violation)
 		}
 		return empty, nil
 	}
-	q.unlockRegNested()
+	q.regMu.Unlock()
 	q.consMu.Unlock()
 	for i := emptySpinsQuick; i < emptySpins; i++ {
 		runtime.Gosched()
@@ -644,13 +584,13 @@ func (q *Queue[T]) emptyWaitStop(f *sched.Frame, qv *qviews[T], deadline time.Ti
 				stop = ErrTimeout
 				break
 			}
-			q.lockRegNested()
+			q.regMu.Lock()
 			if !q.visibleProducerLive(f) {
 				empty, violation = q.decideEmptyLocked(qv)
-				q.unlockRegNested()
+				q.regMu.Unlock()
 				break
 			}
-			q.unlockRegNested()
+			q.regMu.Unlock()
 			q.cond.Wait()
 		}
 		q.sleepers--
@@ -730,14 +670,14 @@ func (q *Queue[T]) tryReachable(f *sched.Frame, qv *qviews[T]) bool {
 	}
 	var violation string
 	q.lockCons()
-	q.lockRegNested()
+	q.regMu.Lock()
 	if !q.visibleProducerLive(f) {
 		q.linkFrontier(qv)
 		if debugChecks.Load() && !q.reachableData() {
 			violation = q.checkNoHiddenDataLocked(qv)
 		}
 	}
-	q.unlockRegNested()
+	q.regMu.Unlock()
 	q.consMu.Unlock()
 	if violation != "" {
 		panic(violation)
@@ -773,9 +713,9 @@ func (q *Queue[T]) CanRecycle(f *sched.Frame) bool {
 	if qv.popServed.Load() != qv.popTickets.Load() {
 		return false
 	}
-	q.lockReg()
+	q.regMu.Lock()
 	ok := len(q.producers) == 0 && qv.vs.ChildHead == nil
-	q.unlockReg()
+	q.regMu.Unlock()
 	return ok
 }
 
@@ -801,18 +741,18 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 		panic("hyperqueue: only the owning task may Recycle a queue")
 	}
 	q.lockCons()
-	q.lockRegNested()
+	q.regMu.Lock()
 	switch {
 	case len(q.producers) > 0:
-		q.unlockRegNested()
+		q.regMu.Unlock()
 		q.consMu.Unlock()
 		panic("hyperqueue: Recycle while push-privileged tasks are live")
 	case qv.vs.ChildHead != nil:
-		q.unlockRegNested()
+		q.regMu.Unlock()
 		q.consMu.Unlock()
 		panic("hyperqueue: Recycle while tasks holding privileges on the queue are live")
 	case qv.popServed.Load() != qv.popTickets.Load():
-		q.unlockRegNested()
+		q.regMu.Unlock()
 		q.consMu.Unlock()
 		panic("hyperqueue: Recycle before all pop-privileged tasks completed")
 	}
@@ -822,7 +762,7 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 	q.linkFrontier(qv)
 	for s := q.headView.Head; s != nil; s = s.next.Load() {
 		if s.size() > 0 {
-			q.unlockRegNested()
+			q.regMu.Unlock()
 			q.consMu.Unlock()
 			panic("hyperqueue: Recycle on a non-empty queue (drain it to permanent emptiness first)")
 		}
@@ -844,7 +784,7 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 		// panic left the accounting torn.
 		q.flow.rearm()
 	}
-	q.unlockRegNested()
+	q.regMu.Unlock()
 	q.consMu.Unlock()
 	q.prov.recycles.Add(1)
 }

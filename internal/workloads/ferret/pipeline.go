@@ -181,6 +181,10 @@ func RunObjects(rt *swan.Runtime, c *Corpus, p Params) *Output {
 	return out
 }
 
+// dispatchBatch is how many queued images RunHyperqueue's dispatch stage
+// gathers per batched spawn wave. Result order is batch-size independent.
+const dispatchBatch = 8
+
 // RunHyperqueue is the paper's version: a hyperqueue between Input and
 // Segmentation lets the unrestructured recursive traversal overlap the
 // rest of the pipeline, and a second hyperqueue between Ranking and
@@ -205,10 +209,6 @@ func RunHyperqueue(rt *swan.Runtime, c *Corpus, p Params, segCap int) *Output {
 				// publish the whole wave of Process tasks with one
 				// batched spawn. Result order is unchanged: SpawnN
 				// prepares the outQ push privileges in index order.
-				dispatchBatch := p.DispatchBatch
-				if dispatchBatch < 1 {
-					dispatchBatch = 8
-				}
 				pp := imgQ.BindPop(g)
 				for !pp.Empty() {
 					batch := make([]*Image, 1, dispatchBatch)

@@ -3,10 +3,12 @@
 GO ?= go
 
 # bench-json knobs: which benchmarks make up the recorded perf set, how
-# long to run each, and where the JSON lands.
+# long to run each, and where the JSON lands. The default output is
+# gitignored: the committed BENCH_pr*.json files are the baselines CI's
+# ratio gates read, so recording one is an explicit BENCH_OUT=... choice.
 BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpawn|AblationSchedulerSubstrate|AblationSegmentSize|AblationQueueVsChannel|AblationStealBatch|BoundVsUnbound|BoundedVsUnbounded|Reducer|HypermapVsLockedMap|Sharded
 BENCH_TIME ?= 300ms
-BENCH_OUT  ?= BENCH_pr8.json
+BENCH_OUT  ?= bench-local.json
 
 .PHONY: all build vet fmt-check test race bench-smoke bench-json quickcheck soak soak-ci docs smoke ci
 

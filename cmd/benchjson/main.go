@@ -8,10 +8,12 @@
 //	go test -bench=... -benchmem -run '^$' . | benchjson > BENCH_pr3.json
 //
 // Every benchmark result line is parsed into its name (the -<procs>
-// suffix stripped), iteration count, and all reported metrics: the
-// standard ns/op, B/op and allocs/op plus any custom b.ReportMetric
-// units such as steals/op or spawns/op. Non-benchmark lines (headers,
-// PASS/ok trailers) populate the meta block or are ignored.
+// suffix stripped), its GOMAXPROCS (procs: the stripped suffix, or 1
+// when go test printed none), iteration count, and all reported
+// metrics: the standard ns/op, B/op and allocs/op plus any custom
+// b.ReportMetric units such as steals/op or spawns/op. Non-benchmark
+// lines (headers, PASS/ok trailers) populate the meta block or are
+// ignored.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 // "allocs/op", "steals/op") to its value.
 type Result struct {
 	Name       string             `json:"name"`
+	Procs      int                `json:"procs"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
@@ -62,7 +65,8 @@ func main() {
 		if err != nil {
 			continue
 		}
-		r := Result{Name: trimProcs(fields[0]), Iterations: iters, Metrics: map[string]float64{}}
+		name, procs := splitProcs(fields[0])
+		r := Result{Name: name, Procs: procs, Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -84,15 +88,18 @@ func main() {
 	}
 }
 
-// trimProcs strips the trailing -<GOMAXPROCS> suffix go test appends to
-// benchmark names (the last dash-delimited run of digits).
-func trimProcs(name string) string {
+// splitProcs splits the trailing -<GOMAXPROCS> suffix go test appends
+// to benchmark names (the last dash-delimited run of digits) off the
+// name. go test omits the suffix at GOMAXPROCS=1, so a name without one
+// ran on one proc.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

@@ -116,11 +116,9 @@ func (q *Queue[T]) raiseStop(stop error) {
 func (p *Pusher[T]) TryPush(v T) bool {
 	q := p.q
 	q.checkFailed()
-	if fl := q.flow; fl != nil {
-		if !fl.tryAcquire() {
-			fl.sheds.Add(1)
-			return false
-		}
+	if fl := q.flow; fl != nil && fl.reserve(1) == 0 {
+		fl.sheds.Add(1)
+		return false
 	}
 	p.append1(v)
 	return true
@@ -129,7 +127,7 @@ func (p *Pusher[T]) TryPush(v T) bool {
 // PushTimeout appends v, waiting at most d for budget. It returns nil on
 // success; ErrTimeout — counted as a shed — when the deadline fires
 // first; the queue's poison cause after a Fail; or the scope's
-// cancellation cause. The fast path (credits available) is identical to
+// cancellation cause. The fast path (budget available) is identical to
 // Push and allocates nothing; the deadline timer exists only while the
 // producer is actually parked.
 func (p *Pusher[T]) PushTimeout(v T, d time.Duration) error {
@@ -137,18 +135,13 @@ func (p *Pusher[T]) PushTimeout(v T, d time.Duration) error {
 	if err := q.failErr(); err != nil {
 		return err
 	}
-	if fl := q.flow; fl != nil && fl.bound > 0 {
-		if !fl.tryAcquire() {
-			err := fl.takeCreditTimeout(p.qv.vs.Frame, time.Now().Add(d))
-			if err != nil {
-				if err == ErrTimeout {
-					fl.sheds.Add(1)
-				}
-				return err
+	if fl := q.flow; fl != nil && fl.reserve(1) == 0 {
+		if err := fl.reserveTimeout(p.qv.vs.Frame, time.Now().Add(d)); err != nil {
+			if err == ErrTimeout {
+				fl.sheds.Add(1)
 			}
+			return err
 		}
-	} else if fl != nil {
-		fl.acquire(p.qv.vs.Frame, 1)
 	}
 	p.append1(v)
 	return nil
@@ -200,39 +193,13 @@ func (fl *flowState) failedErr() error {
 	return nil
 }
 
-// tryAcquire takes one credit without blocking and meters the push;
-// false means the budget is exhausted right now (the shed decision).
-func (fl *flowState) tryAcquire() bool {
-	if fl.bound > 0 {
-		for {
-			cur := fl.credits.Load()
-			if cur <= 0 {
-				return false
-			}
-			if fl.credits.CompareAndSwap(cur, cur-1) {
-				break
-			}
-		}
-	}
-	fl.meterPush(1)
-	return true
-}
-
-// takeCreditTimeout is takeCredits for exactly one credit with an
-// absolute deadline: it parks like waitForCredit but additionally wakes
-// when the deadline fires, and reports the stop cause instead of
-// unwinding. The timer is allocated per park, never on the spin path.
-func (fl *flowState) takeCreditTimeout(f *sched.Frame, deadline time.Time) error {
+// reserveTimeout reserves exactly one push with an absolute deadline:
+// it parks like waitForCredit but additionally wakes when the deadline
+// fires, and reports the stop cause instead of unwinding. The timer is
+// allocated per park, never on the reserve path.
+func (fl *flowState) reserveTimeout(f *sched.Frame, deadline time.Time) error {
 	sc := f.CancelScope()
-	for {
-		cur := fl.credits.Load()
-		if cur > 0 {
-			if fl.credits.CompareAndSwap(cur, cur-1) {
-				fl.meterPush(1)
-				return nil
-			}
-			continue
-		}
+	for fl.reserve(1) == 0 {
 		if err := fl.failedErr(); err != nil {
 			return err
 		}
@@ -257,7 +224,7 @@ func (fl *flowState) takeCreditTimeout(f *sched.Frame, deadline time.Time) error
 			fl.prodMu.Lock()
 			fl.pushWaiters.Add(1)
 			fl.prodSleepers++
-			for fl.credits.Load() <= 0 && !fired && fl.failedErr() == nil && !sc.Canceled() {
+			for !fl.hasBudget() && !fired && fl.failedErr() == nil && !sc.Canceled() {
 				fl.prodCond.Wait()
 			}
 			fl.prodSleepers--
@@ -265,6 +232,7 @@ func (fl *flowState) takeCreditTimeout(f *sched.Frame, deadline time.Time) error
 			fl.prodMu.Unlock()
 		})
 	}
+	return nil
 }
 
 // broadcastProd is the producer-side cancellation waker.

@@ -18,16 +18,28 @@ import (
 // occupancy/high-water/block metering that makes a running pipeline
 // observable (Named, QueueStat, the swan metrics endpoint).
 //
-// Credits. A bounded queue starts with bound credits. Every push takes
-// one credit before it touches a segment; every value the consumer moves
-// past — Pop, TryPop, PopInto, ConsumeRead — returns one. When credits
-// run out the producer spins briefly (the consumer is usually one pop
-// away), then parks on a producer-side condition variable inside
-// Frame.Block, so the scheduler releases the task's run token and a
-// blocked producer can never starve the consumer of execution capacity.
-// Wake-ups follow the same sleeper-counting rule as the consumer cond
-// (wakeLocked): Signal when exactly one producer sleeps, Broadcast
-// otherwise.
+// Credits. A bounded queue's free budget is not a counter of its own:
+// it is derived as bound - (pushed - popped) from the two meters the
+// queue keeps anyway. A push reserves its slots by advancing pushed with
+// a CAS that the budget admits (reserve, the single grant routine behind
+// Push, PushSlice, CommitWrite, TryPush and PushTimeout); the consumer
+// returns them by advancing popped past every value it moves — Pop,
+// TryPop, PopInto, ConsumeRead. The two counters live on separate cache
+// lines, each written by one side only, and a producer reads popped
+// through a cached copy on its own line, reloading the real one only
+// when the copy says the bound is reached (or that the push may set a
+// new high-water mark). So on an unblocked bounded queue a push is one
+// CAS on the producer line and a release is one add on the consumer
+// line plus the pushWaiters probe. Every return is immediate and exact:
+// a returned slot is visible to the next producer that reloads, so no
+// credit can sit stranded with a consumer that moved on to wait on
+// another queue. When the budget is spent the producer spins briefly
+// (the consumer is usually one pop away), then parks on a producer-side
+// condition variable inside Frame.Block, so the scheduler releases the
+// task's run token and a blocked producer can never starve the consumer
+// of execution capacity. Wake-ups follow the same sleeper-counting rule
+// as the consumer cond (wakeLocked): Signal when exactly one producer
+// sleeps, Broadcast otherwise.
 //
 // Lock order. prodMu is a leaf lock, disjoint from the consMu/regMu
 // hierarchy: it is only ever taken with no other queue lock held (the
@@ -78,8 +90,9 @@ func Bounded(n int) QueueOption {
 
 // Named meters the queue under the given name: occupancy, high-water and
 // block/wake counters become visible in the runtime's QueueStats (and
-// the swan metrics endpoint). Metering costs two atomic adds per element
-// on the push/pop paths; plain unbounded queues pay only a nil check.
+// the swan metrics endpoint). Metering costs one atomic CAS per pushed
+// element and one atomic add per popped element, each on its own side's
+// cache line; plain unbounded queues pay only a nil check.
 func Named(name string) QueueOption {
 	return func(o *queueOpts) { o.name = name }
 }
@@ -104,27 +117,13 @@ type QueueStat struct {
 // flowState is the per-queue flow-control block, allocated only for
 // bounded or named queues; q.flow == nil is the plain unbounded case and
 // keeps the hot paths branch-predictable with zero extra atomics.
+//
+// The fields fall into three groups on separate cache lines: state both
+// sides read but rarely write (configuration, the park machinery and
+// the event counters), the producer line and the consumer line.
 type flowState struct {
 	name  string
-	bound int64 // 0 = metering only, no credit accounting
-
-	// credits is the remaining element budget. Producers take with a CAS
-	// loop (partial grants allowed — PushSlice moves what it can and
-	// comes back for the rest); consumers return with a plain Add.
-	credits atomic.Int64
-
-	// Metering. pushed/popped are the occupancy decomposition (monotone
-	// counters race-free to read independently); highWater is maintained
-	// by CAS-max on the push side only.
-	pushed    atomic.Uint64
-	popped    atomic.Uint64
-	highWater atomic.Int64
-
-	prodBlocks atomic.Uint64
-	prodWakes  atomic.Uint64
-	consBlocks atomic.Uint64
-	consWakes  atomic.Uint64
-	sheds      atomic.Uint64
+	bound int64 // 0 = metering only, no budget
 
 	// failedp aliases the owning queue's poison cell (cancel.go) so the
 	// producer-side park predicates can observe a Fail without a
@@ -135,71 +134,125 @@ type flowState struct {
 	// consumer's release probes it with one atomic load and skips prodMu
 	// entirely in the no-waiter steady state. Lost wakeups are
 	// impossible for the same reason as on the consumer side: a producer
-	// increments pushWaiters under prodMu before re-checking credits, so
-	// a releasing consumer either observes the waiter (and its wake
-	// serializes through prodMu) or added the credits before the
-	// producer's re-check (and the producer does not wait).
+	// increments pushWaiters under prodMu before re-checking the budget
+	// against the real popped counter, so a releasing consumer either
+	// observes the waiter (and its wake serializes through prodMu) or
+	// advanced popped before the producer's re-check (and the producer
+	// does not wait).
 	pushWaiters  atomic.Int32
 	prodMu       sync.Mutex
 	prodCond     *sync.Cond
 	prodSleepers int // producers inside the cond.Wait loop; guarded by prodMu
+
+	prodBlocks atomic.Uint64
+	prodWakes  atomic.Uint64
+	consBlocks atomic.Uint64
+	consWakes  atomic.Uint64
+	sheds      atomic.Uint64
+
+	// Producer line. pushed counts granted reservations (a reservation
+	// precedes its value's segment store, so popped <= pushed). highWater
+	// is a CAS-max on the push side only. poppedCache is the producers'
+	// shared copy of popped: always at or behind it (it only ever holds
+	// a value popped once had), so a budget computed from it is
+	// conservative. It is atomic because several producers may reserve
+	// at once; a racing store can move it backwards, never past popped.
+	_           cacheLinePad
+	pushed      atomic.Uint64
+	highWater   atomic.Int64
+	poppedCache atomic.Uint64
+
+	// Consumer line: popped counts values the consumer moved past.
+	_      cacheLinePad
+	popped atomic.Uint64
+	_      cacheLinePad
 }
 
 func newFlowState(name string, bound int) *flowState {
 	fl := &flowState{name: name, bound: int64(bound)}
-	fl.credits.Store(int64(bound))
 	fl.prodCond = sync.NewCond(&fl.prodMu)
 	return fl
 }
 
-// acquire blocks until at least one credit is available, takes up to
-// want of them, meters the pushes, and returns the number taken. On an
-// unbounded metered queue it never blocks and grants want whole.
+// acquire blocks until the budget admits at least one push, reserves up
+// to want of them, and returns the number reserved. On an unbounded
+// metered queue it never blocks and grants want whole.
 func (fl *flowState) acquire(f *sched.Frame, want int64) int64 {
-	take := want
-	if fl.bound > 0 {
-		take = fl.takeCredits(f, want)
-	}
-	fl.meterPush(take)
-	return take
-}
-
-// meterPush records take granted pushes: the occupancy decomposition and
-// the CAS-max high-water mark.
-func (fl *flowState) meterPush(take int64) {
-	occ := int64(fl.pushed.Add(uint64(take)) - fl.popped.Load())
 	for {
-		hw := fl.highWater.Load()
-		if occ <= hw || fl.highWater.CompareAndSwap(hw, occ) {
-			break
-		}
-	}
-}
-
-func (fl *flowState) takeCredits(f *sched.Frame, want int64) int64 {
-	for {
-		cur := fl.credits.Load()
-		if cur > 0 {
-			take := min(want, cur)
-			if fl.credits.CompareAndSwap(cur, cur-take) {
-				return take
-			}
-			continue
+		if n := fl.reserve(want); n > 0 {
+			return n
 		}
 		fl.waitForCredit(f)
 	}
+}
+
+// reserve grants up to want pushes without blocking — as many as the
+// budget admits, partial grants allowed (PushSlice moves what it can
+// and comes back for the rest) — meters them, and returns the number
+// granted; 0 means the bound is reached right now. It reloads the real
+// popped counter only when the cached copy says the bound is reached or
+// that the grant may set a new high-water mark; otherwise the whole
+// grant stays on the producer line.
+func (fl *flowState) reserve(want int64) int64 {
+	for {
+		p, seen := fl.pushed.Load(), fl.poppedCache.Load()
+		take := want
+		if fl.bound > 0 {
+			free := fl.bound - int64(p-seen)
+			if free <= 0 {
+				seen = fl.refreshPopped()
+				if free = fl.bound - int64(p-seen); free <= 0 {
+					return 0
+				}
+			}
+			// A successful CAS below proves pushed == p, and seen <=
+			// popped <= pushed, so free is at most the real budget.
+			take = min(want, free)
+		}
+		if !fl.pushed.CompareAndSwap(p, p+uint64(take)) {
+			continue
+		}
+		if occ := int64(p + uint64(take) - seen); occ > fl.highWater.Load() {
+			fl.raiseHighWater(int64(p + uint64(take) - fl.refreshPopped()))
+		}
+		return take
+	}
+}
+
+// refreshPopped reloads the consumer's popped counter into the
+// producers' cached copy and returns it.
+func (fl *flowState) refreshPopped() uint64 {
+	v := fl.popped.Load()
+	fl.poppedCache.Store(v)
+	return v
+}
+
+// raiseHighWater is the CAS-max of the high-water mark.
+func (fl *flowState) raiseHighWater(occ int64) {
+	for {
+		hw := fl.highWater.Load()
+		if occ <= hw || fl.highWater.CompareAndSwap(hw, occ) {
+			return
+		}
+	}
+}
+
+// hasBudget reports, from the real counters, whether the bound admits
+// another push. It is the predicate of every credit spin and park.
+func (fl *flowState) hasBudget() bool {
+	return fl.bound-int64(fl.pushed.Load()-fl.popped.Load()) > 0
 }
 
 // waitForCredit spins briefly and then parks the producer until the
 // budget is replenished — or until the queue is poisoned or the frame's
 // scope canceled, in which case the producer unwinds instead of holding
 // its park forever (the wedge a canceled bounded pipeline would
-// otherwise leave behind). The caller re-runs the CAS loop after a
-// credit wake: the wake is a hint, not a grant.
+// otherwise leave behind). The caller reserves again after a credit
+// wake: the wake is a hint, not a grant.
 func (fl *flowState) waitForCredit(f *sched.Frame) {
 	for i := 0; i < creditSpins; i++ {
 		runtime.Gosched()
-		if fl.credits.Load() > 0 {
+		if fl.hasBudget() {
 			return
 		}
 	}
@@ -217,7 +270,7 @@ func (fl *flowState) waitForCredit(f *sched.Frame) {
 		fl.prodMu.Lock()
 		fl.pushWaiters.Add(1)
 		fl.prodSleepers++
-		for fl.credits.Load() <= 0 && fl.failedErr() == nil && !sc.Canceled() {
+		for !fl.hasBudget() && fl.failedErr() == nil && !sc.Canceled() {
 			fl.prodCond.Wait()
 		}
 		fl.prodSleepers--
@@ -232,16 +285,13 @@ func (fl *flowState) waitForCredit(f *sched.Frame) {
 	}
 }
 
-// release returns n credits after the consumer advanced the head past n
-// values, and wakes parked producers. The steady-state cost on an
-// unblocked bounded queue is two atomic adds and one atomic load.
+// release returns n slots of budget after the consumer advanced the head
+// past n values, and wakes parked producers. The steady-state cost on an
+// unblocked bounded queue is one atomic add on the consumer line and one
+// atomic load of pushWaiters.
 func (fl *flowState) release(n int64) {
 	fl.popped.Add(uint64(n))
-	if fl.bound == 0 {
-		return
-	}
-	fl.credits.Add(n)
-	if fl.pushWaiters.Load() == 0 {
+	if fl.bound == 0 || fl.pushWaiters.Load() == 0 {
 		return
 	}
 	fl.prodWakes.Add(1)
@@ -256,13 +306,16 @@ func (fl *flowState) release(n int64) {
 	fl.prodMu.Unlock()
 }
 
-// rearm resets the credit budget to the full bound. Only Recycle calls
-// it, at a point where the queue is verified drained and no producer is
-// live, so no credits can be in flight.
+// rearm restores the full budget. Only Recycle calls it, at a point
+// where the queue is verified drained and no producer is live, so the
+// true occupancy is zero. In a clean run pushed already equals popped
+// and rearm changes nothing; after a recovered panic tore a push between
+// its reservation and its segment store, the gap is budget held by
+// values that never landed, and advancing popped to pushed returns it.
 func (fl *flowState) rearm() {
-	if fl.bound > 0 {
-		fl.credits.Store(fl.bound)
-	}
+	p := fl.pushed.Load()
+	fl.popped.Store(p)
+	fl.poppedCache.Store(p)
 }
 
 // snapshot reads the meter. Counters are loaded independently — the

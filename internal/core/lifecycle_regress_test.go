@@ -74,6 +74,10 @@ func TestRegressionRecycleVsBlockedBoundedProducer(t *testing.T) {
 
 // churn runs one producer/consumer pipeline cycle on rt, recycling the
 // queue between the two bursts, and fails the test on any wrong value.
+// The producer is synced before the pops, so each burst fills its whole
+// chain before the consumer frees a segment: the number of segments a
+// burst needs does not depend on how far the scheduler lets the
+// producer run ahead of the consumer.
 func churn(t *testing.T, rt *swan.Runtime, tag string) {
 	t.Helper()
 	rt.Run(func(f *swan.Frame) {
@@ -86,6 +90,7 @@ func churn(t *testing.T, rt *swan.Runtime, tag string) {
 					pu.Push(base + v)
 				}
 			}, swan.Push(q))
+			f.Sync()
 			for v := 0; v < 500; v++ {
 				if got := q.Pop(f); got != base+v {
 					t.Errorf("%s: round %d pop %d = %d, want %d", tag, round, v, got, base+v)
@@ -126,9 +131,14 @@ func TestRegressionPolicySwitchMidChurn(t *testing.T) {
 				t.Fatalf("rebuilt runtime resolved a different provider: %p vs %p", got, prov)
 			}
 			churn(t, rtB, "after switch")
+			// The first runtime's churn left every segment it allocated in
+			// the carried pool except one: the head segment its queue took
+			// at the final Recycle, abandoned with the queue. The same
+			// churn needs no more, so the rebuilt runtime allocates at
+			// most that one.
 			allocsB := prov.SegmentAllocs() - allocs0 - allocsA
-			if allocsB > allocsA {
-				t.Errorf("rebuilt runtime allocated %d fresh segments, first runtime only %d — pool not carried",
+			if allocsB > 1 {
+				t.Errorf("rebuilt runtime allocated %d fresh segments (first runtime %d), want at most 1 — pool not carried",
 					allocsB, allocsA)
 			}
 			if got := prov.RecycledQueues(); got != recycledA+2 {

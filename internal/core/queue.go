@@ -401,7 +401,7 @@ func (q *Queue[T]) acquireConsumer(f *sched.Frame, qv *qviews[T]) {
 func (q *Queue[T]) reachableData() bool {
 	for {
 		s := q.headView.Head
-		if s.size() > 0 {
+		if s.hasData() {
 			return true
 		}
 		n := s.next.Load()
@@ -409,8 +409,9 @@ func (q *Queue[T]) reachableData() bool {
 			return false
 		}
 		// Re-check emptiness after the link load: a value may have landed
-		// between the size check and the link load.
-		if s.size() > 0 {
+		// between the first check and the link load. hasData reloads the
+		// tail here, because the first check left the cached copy empty.
+		if s.hasData() {
 			return true
 		}
 		q.headView.Head = n
@@ -780,8 +781,8 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 	q.everProducer.Store(false)
 	if q.flow != nil {
 		// The drain check above proved every pushed value was popped, so
-		// all credits are home; the reset only matters after a recovered
-		// panic left the accounting torn.
+		// the whole budget is free; rearm only changes the counters after
+		// a recovered panic left a reservation without its value.
 		q.flow.rearm()
 	}
 	q.regMu.Unlock()

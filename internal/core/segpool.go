@@ -325,7 +325,7 @@ type segPoolShard[T any] struct {
 	free [segShardSlots]*segment[T]
 	// Pad each shard to its own cache-line neighborhood so per-worker
 	// lists do not false-share.
-	_ [64]byte
+	_ cacheLinePad
 }
 
 // init sizes the pool for a runtime with the given worker count. The

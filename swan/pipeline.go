@@ -49,8 +49,11 @@ func TransformSerial[I, O any](f *Frame, in *Queue[I], out *Queue[O], fn func(I,
 	f.Spawn(func(c *Frame) {
 		pp := in.BindPop(c)
 		pw := out.BindPush(c)
+		// Bind the method value once: evaluating pw.Push per element
+		// would allocate a fresh closure for every value.
+		push := pw.Push
 		for !pp.Empty() {
-			fn(pp.Pop(), pw.Push)
+			fn(pp.Pop(), push)
 		}
 	}, Pop(in), Push(out))
 }

@@ -131,3 +131,36 @@ func TestThreeStageTypedPipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestTransformSerialAllocsPerElement pins TransformSerial's per-element
+// loop at zero allocations: the emit function it hands fn must be bound
+// once per stage, not built per value. Each queue holds the whole run
+// in one segment, so after the warm-up run the segment pool serves
+// every segment and only the per-run setup (queues, spawns) allocates.
+func TestTransformSerialAllocsPerElement(t *testing.T) {
+	const n = 1 << 16
+	rt := swan.New(2)
+	var sum int
+	run := func() {
+		sum = 0
+		rt.Run(func(f *swan.Frame) {
+			in := swan.NewQueueWithCapacity[int](f, n)
+			out := swan.NewQueueWithCapacity[int](f, n)
+			swan.Produce(f, in, func(c *swan.Frame, push func(int)) {
+				for i := 0; i < n; i++ {
+					push(i)
+				}
+			})
+			swan.TransformSerial(f, in, out, func(v int, emit func(int)) { emit(2 * v) })
+			swan.Drain(f, out, func(v int) { sum += v })
+			f.Sync()
+		})
+	}
+	perElem := testing.AllocsPerRun(5, run) / n
+	if want := n * (n - 1); sum != want {
+		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+	if perElem >= 0.01 {
+		t.Errorf("TransformSerial allocates %.3f times per element, want < 0.01", perElem)
+	}
+}
